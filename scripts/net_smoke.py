@@ -36,6 +36,10 @@ report ``storage.recovered`` and serve raw binary reply frames that
 are byte-for-byte identical to the pre-crash control's, mutation
 included.
 
+Both the single-process service and the fleet also get one pipelined
+burst: 64 binary sends in one write must come back in request order,
+each reply byte-identical to the same frame sent on its own.
+
 The server is terminated with SIGTERM and must exit cleanly within
 the grace period; any leftover process is killed and reported as a
 failure.  The whole script is bounded by ``--timeout`` (default 120 s)
@@ -369,6 +373,81 @@ def check_zerocopy_identity(host: str, port: int) -> None:
     print(f"ok zero-copy: cold and cached replies byte-identical ({len(cold)}B)")
 
 
+def check_pipelined_burst(host: str, port: int, label: str = "") -> None:
+    """64 pipelined binary sends in one write come back in order, each
+    reply byte-identical to the same frame sent on its own.
+
+    The service answers every frame one read delivers before it writes,
+    so the burst's replies leave in a few writes; the one-at-a-time
+    pass is the reference.  Whole-store targets (``target=0``) draw no
+    randomness, so the two passes must agree byte for byte.
+    """
+    import asyncio
+    import struct
+
+    from repro.cluster.messages import LookupRequest
+    from repro.net.codec import (
+        CODEC_BINARY,
+        decode_frame_body,
+        encode_envelope_binary,
+        encode_message,
+        hello_envelope,
+        read_frame,
+        write_frame,
+    )
+
+    schemes = sorted(EXPECTED)
+    frames = [
+        encode_envelope_binary(
+            {
+                "op": "send",
+                "id": n,
+                "server": n % SERVERS,
+                "key": schemes[n % len(schemes)],
+                "message": encode_message(LookupRequest(0)),
+            }
+        )
+        for n in range(64)
+    ]
+
+    async def reply(reader) -> bytes:
+        prefix = await reader.readexactly(4)
+        (length,) = struct.unpack(">I", prefix)
+        return prefix + await reader.readexactly(length)
+
+    async def probe() -> tuple[list, list]:
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            await write_frame(writer, hello_envelope((CODEC_BINARY,)))
+            hello = await read_frame(reader)
+            if not (hello and hello.get("ok")):
+                fail(f"pipelined-burst probe hello failed: {hello}")
+            writer.write(b"".join(frames))
+            await writer.drain()
+            burst = [await reply(reader) for _ in frames]
+            single = []
+            for frame in frames:
+                writer.write(frame)
+                await writer.drain()
+                single.append(await reply(reader))
+            return burst, single
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    burst, single = asyncio.run(asyncio.wait_for(probe(), timeout=30))
+    ids = [decode_frame_body(raw[4:]).get("id") for raw in burst]
+    if ids != list(range(64)):
+        fail(f"pipelined burst replies out of request order{label}: {ids}")
+    for n, (got, want) in enumerate(zip(burst, single)):
+        if got != want:
+            fail(f"pipelined burst reply {n} differs from its lone reply{label}")
+    print(
+        f"ok pipelined burst{label}: 64 replies in order, byte-identical "
+        f"to one-at-a-time ({sum(map(len, burst))}B)"
+    )
+
+
 def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
     """``serve --store log``: SIGKILL mid-workload, restart, identical bytes.
 
@@ -587,6 +666,7 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
             )
         check_degraded_exit(host, port, deadline)
         check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
+        check_pipelined_burst(host, port, label=" [workers 2]")
         caps = collect_cache_stats(host, port)
         workers = caps.get("workers") or {}
         if workers.get("count") != 2:
@@ -710,6 +790,7 @@ def main() -> int:
             check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
             check_failed_exit(tmpdir, deadline)
             check_zerocopy_identity(host, port)
+            check_pipelined_burst(host, port)
             single_caps = collect_cache_stats(host, port)
         finally:
             if server.poll() is None:

@@ -381,6 +381,13 @@ async def _serve_async(args: argparse.Namespace) -> int:
     host, port = await service.start(host=args.host, port=args.port)
     if pump is not None:
         pump.start()
+    # Handlers go in before the ready file announces the service, so a
+    # SIGTERM sent the moment it appears still stops cleanly.
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signame in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError):
+            loop.add_signal_handler(signame, stop.set)
     if args.ready_file:
         with open(args.ready_file, "w", encoding="utf-8") as handle:
             handle.write(f"{host} {port}\n")
@@ -392,11 +399,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
         f"servers, listening on {host}:{port}{shard_note}",
         flush=True,
     )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signame in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(signame, stop.set)
     try:
         await stop.wait()
     finally:

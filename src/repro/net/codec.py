@@ -70,7 +70,7 @@ import dataclasses
 import json
 import re
 import struct
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.entry import Entry
 from repro.cluster.messages import Heartbeat, Message
@@ -1267,6 +1267,32 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     return decode_frame_body(body)
 
 
+def iter_frame_bodies(buffer: bytearray) -> Iterator[bytes]:
+    """Yield the body of every complete frame at the front of ``buffer``.
+
+    The framing of :func:`read_frame` for a reader that takes whatever
+    one socket read returned: frames come out in order, and when the
+    iteration ends the consumed frames are cut off ``buffer``, so a
+    trailing partial frame stays there for the next read.  A length
+    prefix over :data:`MAX_FRAME` raises :class:`FrameError` once every
+    frame before it has been yielded.
+    """
+    pos = 0
+    try:
+        while len(buffer) - pos >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buffer, pos)
+            if length > MAX_FRAME:
+                raise FrameError(f"frame length {length} exceeds {MAX_FRAME}")
+            end = pos + _LENGTH.size + length
+            if end > len(buffer):
+                break
+            body = bytes(buffer[pos + _LENGTH.size : end])
+            pos = end
+            yield body
+    finally:
+        del buffer[:pos]
+
+
 async def write_frame(
     writer: asyncio.StreamWriter,
     obj: dict[str, Any],
@@ -1341,6 +1367,7 @@ __all__ = [
     "encode_value",
     "heartbeat_envelope",
     "hello_envelope",
+    "iter_frame_bodies",
     "negotiate_codec",
     "pack_send_envelope",
     "pack_send_reply",

@@ -59,16 +59,19 @@ from repro.net.codec import (
     WireError,
     decode_heartbeat,
     decode_message,
+    encode_envelope_as,
     encode_envelope_fragments,
     encode_message,
     encode_value,
+    iter_frame_bodies,
     negotiate_codec,
     pack_send_reply,
     pack_value_bytes,
-    read_frame,
-    write_frame,
     write_frames,
 )
+# The connection loop calls decode_frame_body through the module, so a
+# wrapper installed there (the benchmark's span recorders) sees it.
+from repro.net import codec as net_codec
 from repro.net.sharding import ShardMap, partial_replica
 from repro.obs.metrics import MetricsRegistry
 from repro.strategies.base import LookupProfile, PlacementStrategy
@@ -88,6 +91,10 @@ DEFAULT_SCHEMES: dict[str, dict[str, int]] = {
 #: that a client never needs more than one frame per scheduling round,
 #: small enough that one malicious frame cannot monopolize the loop.
 MAX_BATCH = 1024
+
+#: Bytes one connection read may take: the request bytes served, and
+#: their replies buffered, per write.
+READ_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -935,8 +942,12 @@ class LookupService:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one client connection: a frame in, a frame out, repeat.
+        """Serve one client connection: one read in, every frame it
+        completes dispatched in order, their replies out in one write.
 
+        A pipelining client's burst therefore costs one socket read and
+        one ``writelines`` + ``drain`` however many frames it carried;
+        at most :data:`READ_CHUNK` request bytes are served per flush.
         Replies start out JSON-framed; after a successful ``hello``
         negotiation this connection's replies switch to the agreed
         codec (the hello reply itself is still sent in the codec the
@@ -946,43 +957,56 @@ class LookupService:
         if task is not None:
             self._connections.add(task)
         codec = CODEC_JSON
+        buffer = bytearray()
         try:
             while True:
+                chunk = await reader.read(READ_CHUNK)
+                if not chunk:
+                    # A hangup between frames is normal; one mid-frame
+                    # leaves nothing to answer either.
+                    break
+                buffer += chunk
+                replies: list = []
+                broken = False
                 try:
-                    envelope = await read_frame(reader)
-                except WireError:
-                    # The frame was well-formed but its content was
-                    # not decodable (unknown message type, bad tag
-                    # payload): the stream is still in sync, so answer
-                    # and keep serving.
-                    await write_frame(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "detail": "undecodable frame body",
-                        },
-                        codec=codec,
-                    )
-                    continue
+                    for body in iter_frame_bodies(buffer):
+                        try:
+                            envelope = net_codec.decode_frame_body(body)
+                        except WireError:
+                            # The frame was well-formed but its content
+                            # was not decodable (unknown message type,
+                            # bad tag payload): the stream is still in
+                            # sync, so answer and keep serving.
+                            envelope = None
+                            reply = {
+                                "ok": False,
+                                "error": "bad-request",
+                                "detail": "undecodable frame body",
+                            }
+                        else:
+                            reply = await self.handle_envelope_async(
+                                envelope, raw=codec == CODEC_BINARY
+                            )
+                        if codec == CODEC_BINARY:
+                            # Zero-copy path: cached/prepacked bodies
+                            # are spliced into the reply's buffer list.
+                            replies.append(encode_envelope_fragments(reply))
+                        else:
+                            replies.append(encode_envelope_as(reply, codec))
+                        if (
+                            envelope is not None
+                            and envelope.get("op") == "hello"
+                            and reply.get("ok")
+                        ):
+                            codec = reply["value"]["codec"]
                 except FrameError:
+                    # The stream is out of sync: answer what came
+                    # before the bad frame, then hang up.
+                    broken = True
+                if replies:
+                    await write_frames(writer, replies)
+                if broken:
                     break
-                if envelope is None:
-                    break
-                reply = await self.handle_envelope_async(
-                    envelope, raw=codec == CODEC_BINARY
-                )
-                if codec == CODEC_BINARY:
-                    # Zero-copy path: cached/prepacked bodies are
-                    # spliced into the frame's buffer list and the
-                    # whole reply goes out in one writelines+drain.
-                    await write_frames(
-                        writer, (encode_envelope_fragments(reply),)
-                    )
-                else:
-                    await write_frame(writer, reply, codec=codec)
-                if envelope.get("op") == "hello" and reply.get("ok"):
-                    codec = reply["value"]["codec"]
         except (ConnectionError, OSError):
             pass
         except asyncio.CancelledError:

@@ -636,8 +636,14 @@ class WriteForwarder:
 
 
 def _worker_socket(host: str, port: int) -> socket.socket:
-    """A fresh ``SO_REUSEPORT`` listener on the fleet's shared port."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    """A fresh ``SO_REUSEPORT`` listener on the fleet's shared port.
+
+    Made with ``IPPROTO_TCP``: accepted sockets inherit the listener's
+    protocol, and asyncio sets ``TCP_NODELAY`` only on sockets whose
+    ``proto`` says TCP.  Without it Nagle holds each reply back until
+    the client's delayed ACK.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((host, port))
@@ -823,7 +829,9 @@ class _Supervisor:
             self._placeholder.bind((self.host, self.port))
             self.host, self.port = self._placeholder.getsockname()[:2]
         else:
-            self._shared = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._shared = socket.socket(
+                socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP
+            )
             self._shared.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._shared.bind((self.host, self.port))
             self._shared.listen(256)

@@ -239,8 +239,9 @@ class AppendLogJournal:
         ``os.fsync`` after every record (power-loss durability); off by
         default — ``flush()`` alone survives SIGKILL.
     compact_every:
-        Auto-compact after this many records since the last compaction
-        (see :meth:`maybe_compact`); ``0`` disables auto-compaction.
+        Auto-compact once the live logs hold this many records, those a
+        restart replayed included (see :meth:`should_compact`); ``0``
+        disables auto-compaction.
     """
 
     def __init__(
@@ -257,12 +258,13 @@ class AppendLogJournal:
         #: While True, ``append`` is suppressed — set during replay so
         #: rebuilding stores does not re-journal its own history.
         self.replaying = False
+        #: Records in the live logs since the last compaction: replayed
+        #: by :meth:`load`, then counted by :meth:`append`.
         self.log_records = 0
         self.compactions = 0
         self.last_compaction_epoch = 0
         self._serial = 1
         self._fh: Optional[Any] = None
-        self._records_since_compact = 0
         self._last_blob: Dict[Any, str] = {}
         if not read_only:
             self.data_dir.mkdir(parents=True, exist_ok=True)
@@ -328,7 +330,6 @@ class AppendLogJournal:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self.log_records += 1
-        self._records_since_compact += 1
         return True
 
     def record_add(self, key: str, server_id: int, index: int, entry: Entry) -> None:
@@ -510,13 +511,12 @@ class AppendLogJournal:
         self.compactions += 1
         self.last_compaction_epoch = epoch
         self.log_records = 0
-        self._records_since_compact = 0
 
     def should_compact(self) -> bool:
         return (
             not self.read_only
             and self.compact_every > 0
-            and self._records_since_compact >= self.compact_every
+            and self.log_records >= self.compact_every
         )
 
     # -- bookkeeping ---------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.net.codec import (
     encode_envelope,
     encode_message,
     encode_value,
+    iter_frame_bodies,
 )
 
 
@@ -132,3 +133,32 @@ class TestFraming:
 
     def test_max_frame_bound(self):
         assert MAX_FRAME == 16 * 1024 * 1024
+
+    def test_iter_frame_bodies_keeps_the_partial_tail(self):
+        frames = [encode_envelope({"op": "ping", "n": n}) for n in range(3)]
+        stream = b"".join(frames)
+        buffer = bytearray(stream[:-5])
+        bodies = list(iter_frame_bodies(buffer))
+        assert [decode_envelope(body) for body in bodies] == [
+            {"op": "ping", "n": 0},
+            {"op": "ping", "n": 1},
+        ]
+        assert buffer == frames[2][:-5]
+        buffer += stream[-5:]
+        assert [decode_envelope(body) for body in iter_frame_bodies(buffer)] == [
+            {"op": "ping", "n": 2}
+        ]
+        assert buffer == b""
+
+    def test_iter_frame_bodies_waits_for_a_whole_prefix(self):
+        buffer = bytearray(b"\x00\x00")
+        assert list(iter_frame_bodies(buffer)) == []
+        assert buffer == b"\x00\x00"
+
+    def test_iter_frame_bodies_rejects_an_oversized_prefix_in_order(self):
+        good = encode_envelope({"op": "ping"})
+        buffer = bytearray(good + struct.pack(">I", MAX_FRAME + 1))
+        frames = iter_frame_bodies(buffer)
+        assert next(frames) == good[4:]
+        with pytest.raises(FrameError):
+            next(frames)

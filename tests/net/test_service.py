@@ -1,13 +1,30 @@
 """End-to-end asyncio service tests: real sockets on an ephemeral port."""
 
 import asyncio
+import os
 import random
+import signal
+import struct
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
 
 from repro.cluster.client import RetryPolicy
 from repro.net.client import AsyncLookupClient, ServiceError
-from repro.net.codec import encode_message
+from repro.net.codec import (
+    BINARY_MAGIC,
+    BINARY_VERSION,
+    CODEC_BINARY,
+    MAX_FRAME,
+    decode_frame_body,
+    encode_envelope,
+    encode_envelope_binary,
+    encode_message,
+    hello_envelope,
+)
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.cluster.messages import AddRequest, LookupRequest
 from repro.core.entry import Entry
@@ -262,3 +279,161 @@ class TestOverSockets:
             return await scenario(service, host, port)
 
         assert run(runner())
+
+
+# --------------------------------------------------------------------------
+# The connection loop: one read, every frame it completes, one write
+# --------------------------------------------------------------------------
+
+
+def _lookup(request_id, key="full_replication", target=0, server=0):
+    return {
+        "op": "send",
+        "server": server,
+        "key": key,
+        "message": encode_message(LookupRequest(target)),
+        "id": request_id,
+    }
+
+
+#: A well-formed binary frame whose body names message #16383, which no
+#: side knows: undecodable, so answered ``bad-request``.
+UNDECODABLE = struct.pack(">I", 10) + bytes(
+    (BINARY_MAGIC, BINARY_VERSION, 0, 0x08, 1, 1, ord("v"), 0x0B, 0xFF, 0x7F)
+)
+
+
+def _burst():
+    """JSON info, a hello to binary, binary sends (sampled targets too),
+    an undecodable frame and a batch: one reply each, in this order."""
+    return [
+        encode_envelope({"op": "info", "id": 1}),
+        encode_envelope(dict(hello_envelope((CODEC_BINARY,)), id=2)),
+        encode_envelope_binary(_lookup(3)),
+        encode_envelope_binary(_lookup(4, key="hash", target=3, server=5)),
+        UNDECODABLE,
+        encode_envelope_binary(
+            {
+                "op": "batch",
+                "id": 6,
+                "requests": [_lookup(7, key="round_robin", target=4), _lookup(8)],
+            }
+        ),
+        encode_envelope_binary(_lookup(9, key="random_server", target=2)),
+    ]
+
+
+async def _read_raw(reader):
+    """One raw reply frame (prefix included), or None at end of stream."""
+    prefix = await reader.read(4)
+    if not prefix:
+        return None
+    prefix += await reader.readexactly(4 - len(prefix))
+    (length,) = struct.unpack(">I", prefix)
+    return prefix + await reader.readexactly(length)
+
+
+async def _exchange(frames, *, mode):
+    """Send ``frames`` to a fresh service; return the raw replies.
+
+    ``mode`` is ``"round-trip"`` (one frame, then its reply), ``"burst"``
+    (every frame in one write) or ``"bytewise"`` (the burst one byte per
+    write).  Burst modes read replies until the service hangs up.
+    """
+    service = LookupService(CONFIG)
+    host, port = await service.start(port=0)
+    reader, writer = await asyncio.open_connection(host, port)
+    replies = []
+    try:
+        if mode == "round-trip":
+            for frame in frames:
+                writer.write(frame)
+                await writer.drain()
+                replies.append(await _read_raw(reader))
+        else:
+            data = b"".join(frames)
+            if mode == "burst":
+                writer.write(data)
+            else:
+                for byte in data:
+                    writer.write(bytes((byte,)))
+                    await writer.drain()
+            writer.write_eof()
+            while (reply := await _read_raw(reader)) is not None:
+                replies.append(reply)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+        await service.stop()
+    return replies
+
+
+class TestCoalescedConnectionLoop:
+    def test_burst_replies_match_round_trips_byte_for_byte(self):
+        frames = _burst()
+        expected = run(_exchange(frames, mode="round-trip"))
+        got = run(_exchange(frames, mode="burst"))
+        assert got == expected
+        decoded = [decode_frame_body(raw[4:]) for raw in got]
+        assert [reply.get("id") for reply in decoded] == [1, 2, 3, 4, None, 6, 9]
+        assert got[1][4] == ord("{")  # the hello reply is still JSON
+        assert all(raw[4] == BINARY_MAGIC for raw in got[2:])
+        assert decoded[4]["error"] == "bad-request"
+        assert all(reply["ok"] for i, reply in enumerate(decoded) if i != 4)
+
+    def test_burst_fed_one_byte_per_write(self):
+        frames = _burst()
+        expected = run(_exchange(frames, mode="round-trip"))
+        assert run(_exchange(frames, mode="bytewise")) == expected
+
+    def test_bad_frame_closes_after_the_earlier_replies(self):
+        good = [encode_envelope({"op": "ping", "id": n}) for n in range(3)]
+        bad_body = b"\x00not an envelope"
+        bad = struct.pack(">I", len(bad_body)) + bad_body
+        after = encode_envelope({"op": "ping", "id": 99})
+        got = run(_exchange(good + [bad, after], mode="burst"))
+        assert [decode_frame_body(raw[4:])["id"] for raw in got] == [0, 1, 2]
+
+    def test_oversized_length_prefix_closes_after_the_earlier_replies(self):
+        good = [encode_envelope_binary({"op": "ping", "id": n}) for n in range(2)]
+        oversized = struct.pack(">I", MAX_FRAME + 1) + b"\x00" * 16
+        got = run(_exchange(good + [oversized], mode="burst"))
+        assert [decode_frame_body(raw[4:])["id"] for raw in got] == [0, 1]
+
+
+class TestServeProcess:
+    def test_sigterm_the_moment_ready_appears_stops_cleanly(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
+        )
+        for boot in range(10):
+            with tempfile.TemporaryDirectory() as tmp:
+                ready = os.path.join(tmp, "ready")
+                proc = subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro", "serve",
+                        "--port", "0", "--servers", "4", "--entries", "6",
+                        "--ready-file", ready,
+                    ],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    text=True,
+                    env=env,
+                )
+                try:
+                    deadline = time.monotonic() + 30
+                    while not os.path.exists(ready):
+                        assert proc.poll() is None and time.monotonic() < deadline
+                        time.sleep(0.001)
+                    proc.send_signal(signal.SIGTERM)
+                    out, _ = proc.communicate(timeout=30)
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait()
+                assert proc.returncode == 0, (boot, proc.returncode, out)
+                assert "[serve] stopped" in out, (boot, out)

@@ -454,6 +454,68 @@ class TestFleetEndToEnd:
             assert "[serve] stopped" in out
             assert "Traceback" not in out
 
+    def test_fleet_connections_set_tcp_nodelay(self):
+        # The fleet runs with handle_connection wrapped (the workers
+        # fork after the wrap) to record each accepted socket's
+        # TCP_NODELAY; without it Nagle holds replies for a delayed ACK.
+        script = (
+            "import socket, sys\n"
+            "from repro.net.service import LookupService\n"
+            "serve = LookupService.handle_connection\n"
+            "async def recording(self, reader, writer):\n"
+            "    sock = writer.get_extra_info('socket')\n"
+            "    flag = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)\n"
+            "    with open(sys.argv[1], 'a') as handle:\n"
+            "        handle.write(f'{flag}\\n')\n"
+            "    await serve(self, reader, writer)\n"
+            "LookupService.handle_connection = recording\n"
+            "from repro.experiments.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            ready = os.path.join(tmp, "ready")
+            flags = os.path.join(tmp, "nodelay")
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
+            )
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-c", script, flags,
+                    "serve", "--workers", "2", "--port", "0",
+                    "--servers", "6", "--entries", "10", "--ready-file", ready,
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                env=env,
+            )
+
+            async def pings(host, port):
+                for _ in range(4):
+                    reader, writer = await asyncio.open_connection(host, port)
+                    await write_frame(writer, {"op": "ping"})
+                    assert (await asyncio.wait_for(read_frame(reader), 10))["ok"]
+                    writer.close()
+                    await writer.wait_closed()
+
+            try:
+                deadline = time.time() + 30
+                while not (os.path.exists(ready) and os.path.getsize(ready)):
+                    assert proc.poll() is None, proc.stdout.read()
+                    assert time.time() < deadline
+                    time.sleep(0.05)
+                host, port = open(ready).read().split()
+                run(pings(host, int(port)))
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=30)
+            assert proc.returncode == 0, out
+            with open(flags, encoding="utf-8") as handle:
+                recorded = handle.read().split()
+            assert len(recorded) == 4
+            assert all(flag == "1" for flag in recorded), recorded
+
     def test_workers_reject_peers(self):
         from repro.core.exceptions import InvalidParameterError
         from repro.net.cli import cmd_serve

@@ -160,6 +160,23 @@ class TestCompactionAndObservability:
             )
         assert service.journal.compactions >= 1
 
+    def test_restarts_below_the_threshold_still_compact(self, tmp_path):
+        # Each life adds fewer records than the threshold; the records
+        # replayed at boot must count, or the log grows without bound.
+        threshold = 10
+        config = _config(tmp_path, log_compact_records=threshold)
+        compactions = []
+        for life in range(12):
+            service = LookupService(config)
+            assert service.handle_envelope(
+                _send("full_replication", AddRequest(entry=Entry(f"r{life}")))
+            )["ok"]
+            assert service.journal.log_records < threshold
+            compactions.append(service.journal.compactions)
+            service.journal.close()
+        # The first life compacts its boot records; later ones must too.
+        assert compactions[-1] > compactions[0]
+
     def test_capabilities_surface_the_backend(self, tmp_path):
         service = LookupService(_config(tmp_path))
         storage = service.capabilities()["storage"]
